@@ -159,7 +159,16 @@ def check_component_admissible(
 
 
 def check_program_admissible(program: Program) -> List[ComponentAdmissibility]:
-    """Per-component admissibility for the whole program, bottom-up."""
+    """Per-component admissibility for the whole program, bottom-up
+    (memoized on the program)."""
+    return program.memo(
+        "admissibility", lambda: _check_program_admissible(program)
+    )
+
+
+def _check_program_admissible(
+    program: Program,
+) -> List[ComponentAdmissibility]:
     return [
         check_component_admissible(component, program)
         for component in condense(program)

@@ -219,24 +219,19 @@ def _recommended_method(
     return "seminaive"
 
 
-def classify_program(
-    program: Program,
-    *,
-    admissibility: Optional[List[ComponentAdmissibility]] = None,
-    typing: Optional[TypingReport] = None,
-) -> ProgramClassification:
-    """Classify every component, bottom-up.
+def classify_program(program: Program) -> ProgramClassification:
+    """Classify every component, bottom-up (memoized on the program).
 
-    ``admissibility``/``typing`` may be passed in when the caller already
-    ran those passes (the analysis report does), to avoid re-running them.
+    Reads the program's memoized admissibility and typing passes.
     """
-    if admissibility is None:
-        admissibility = check_program_admissible(program)
-    if typing is None:
-        typing = infer_types(program)
+    return program.memo("classification", lambda: _classify_program(program))
+
+
+def _classify_program(program: Program) -> ProgramClassification:
+    typing = infer_types(program)
     components = [
         classify_component(report.component, program, report, typing)
-        for report in admissibility
+        for report in check_program_admissible(program)
     ]
     return ProgramClassification(
         program=program, components=components, typing=typing

@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.fd import check_program_cost_respecting
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Variable
@@ -117,11 +117,15 @@ def check_pair(r1: Rule, r2: Rule, program: Program) -> PairVerdict:
 
 
 def check_conflict_freedom(program: Program) -> ConflictReport:
-    """Definition 2.10 for the whole program."""
+    """Definition 2.10 for the whole program (memoized on it)."""
+    return program.memo("conflict", lambda: _check_conflict_freedom(program))
+
+
+def _check_conflict_freedom(program: Program) -> ConflictReport:
     report = ConflictReport()
-    for rule in program.rules:
-        if not check_rule_cost_respecting(rule, program).ok:
-            report.cost_respecting_failures.append(rule)
+    for respect in check_program_cost_respecting(program):
+        if not respect.ok:
+            report.cost_respecting_failures.append(respect.rule)
 
     # Only pairs of rules defining the *same cost predicate* can produce
     # conflicting cost atoms.

@@ -154,8 +154,13 @@ def condense(program: Program) -> List[Component]:
     """Split the program into components in bottom-up topological order.
 
     Only IDB predicates appear as component CDBs; EDB predicates are pure
-    LDB everywhere.
+    LDB everywhere.  Memoized on the program (:meth:`Program.memo`); the
+    list is shared, so callers must not mutate it.
     """
+    return program.memo("condense", lambda: _condense(program))
+
+
+def _condense(program: Program) -> List[Component]:
     edges = dependency_edges(program)
     vertices = sorted(program.idb_predicates)
     successors: Dict[str, Set[str]] = {v: set() for v in vertices}

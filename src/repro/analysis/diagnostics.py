@@ -66,7 +66,7 @@ from typing import (
 from repro.analysis.admissible import check_program_admissible
 from repro.analysis.conflict import check_conflict_freedom
 from repro.analysis.dependencies import Component, condense
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.fd import check_program_cost_respecting
 from repro.analysis.fixes import (
     Fix,
     body_in_schedule_order,
@@ -667,14 +667,13 @@ def _check_safety(program: Program) -> Iterator[Diagnostic]:
 
 @lint_check("cost-respecting")
 def _check_cost_respecting(program: Program) -> Iterator[Diagnostic]:
-    for rule in program.rules:
-        report = check_rule_cost_respecting(rule, program)
+    for report in check_program_cost_respecting(program):
         if report.applicable and not report.ok:
             yield make_diagnostic(
                 "not-cost-respecting",
                 f"head cost argument not functionally determined: "
                 f"{report.detail}",
-                rule=rule,
+                rule=report.rule,
             )
 
 

@@ -143,7 +143,21 @@ def check_rule_cost_respecting(rule: Rule, program: Program) -> CostRespectRepor
     )
 
 
-def all_rules_cost_respecting(program: Program) -> bool:
-    return all(
-        check_rule_cost_respecting(rule, program).ok for rule in program.rules
+def check_program_cost_respecting(
+    program: Program,
+) -> List[CostRespectReport]:
+    """Definition 2.7 for every rule, parallel to ``program.rules``
+    (memoized on the program)."""
+    return program.memo(
+        "cost_respecting", lambda: _check_program_cost_respecting(program)
     )
+
+
+def _check_program_cost_respecting(
+    program: Program,
+) -> List[CostRespectReport]:
+    return [check_rule_cost_respecting(rule, program) for rule in program.rules]
+
+
+def all_rules_cost_respecting(program: Program) -> bool:
+    return all(r.ok for r in check_program_cost_respecting(program))

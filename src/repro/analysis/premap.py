@@ -71,7 +71,7 @@ from repro.analysis.classify import (
     classify_program,
 )
 from repro.analysis.dependencies import Component
-from repro.analysis.fd import check_rule_cost_respecting
+from repro.analysis.fd import check_program_cost_respecting
 from repro.analysis.wellformed import _is_cdb_aggregate
 from repro.datalog.atoms import (
     AggregateSubgoal,
@@ -440,7 +440,7 @@ def _occurrence_verdict(
     )
 
     # -- functional dependencies: keys determine the frontier ------------
-    fd_report = check_rule_cost_respecting(rule, program)
+    fd_report = check_program_cost_respecting(program)[rule_index]
     if not fd_report.ok:
         _fail(
             witnesses,
@@ -530,20 +530,20 @@ def _occurrence_verdict(
     )
 
 
-def analyze_premappability(
-    program: Program,
-    *,
-    classification: Optional[ProgramClassification] = None,
-) -> PremapReport:
+def analyze_premappability(program: Program) -> PremapReport:
     """Premappability verdicts for every recursive aggregate occurrence.
 
     Aggregate occurrences that read lower strata only (stratified
     aggregation) are silently skipped — there is no recursion to push
-    into.  ``classification`` may be passed when the caller already
-    classified the program.
+    into.  Memoized on the program; reads its memoized classification.
     """
-    if classification is None:
-        classification = classify_program(program)
+    return program.memo(
+        "premappability", lambda: _analyze_premappability(program)
+    )
+
+
+def _analyze_premappability(program: Program) -> PremapReport:
+    classification = classify_program(program)
     report = PremapReport(program=program)
     rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
     for cls in classification.components:

@@ -40,7 +40,7 @@ from repro.analysis.diagnostics import (
     Severity,
     lint_program,
 )
-from repro.analysis.fd import CostRespectReport, check_rule_cost_respecting
+from repro.analysis.fd import CostRespectReport, check_program_cost_respecting
 from repro.analysis.rmonotonic import is_r_monotonic
 from repro.analysis.safety import SafetyReport, check_program_safety
 from repro.analysis.sharding import ShardingReport, analyze_sharding
@@ -151,24 +151,30 @@ def analyze_program(
 
     The boolean verdicts come from the analysis passes directly; the same
     passes feed the linter, whose coded, source-located diagnostics are
-    collected on ``report.diagnostics``.
+    collected on ``report.diagnostics``.  Every pass is memoized on the
+    program (:meth:`Program.memo`), and so is the report built with the
+    default linter: repeat calls return the same shared, read-only
+    report.  A custom ``linter`` gets a fresh report over the same
+    memoized passes.
     """
+    if linter is None:
+        return program.memo("analysis", lambda: _analyze_program(program))
+    return _analyze_program(program, linter)
+
+
+def _analyze_program(
+    program: Program, linter: "Linter | None" = None
+) -> AnalysisReport:
     report = AnalysisReport(program)
     report.safety = check_program_safety(program)
-    report.cost_respecting = [
-        check_rule_cost_respecting(rule, program) for rule in program.rules
-    ]
+    report.cost_respecting = check_program_cost_respecting(program)
     report.conflict = check_conflict_freedom(program)
     report.components = check_program_admissible(program)
     report.aggregate_stratified = is_aggregate_stratified(program)
     report.negation_stratified = is_negation_stratified(program)
     report.r_monotonic = is_r_monotonic(program)
     report.typing = infer_types(program)
-    report.classification = classify_program(
-        program, admissibility=report.components, typing=report.typing
-    )
-    report.sharding = analyze_sharding(
-        program, classification=report.classification
-    )
+    report.classification = classify_program(program)
+    report.sharding = analyze_sharding(program)
     report.diagnostics = lint_program(program, linter=linter)
     return report

@@ -158,6 +158,13 @@ def _comparison_growth_safe(
 
 
 def check_program_r_monotonic(program: Program) -> List[RMonotonicReport]:
+    """Per-rule r-monotonicity reports (memoized on the program)."""
+    return program.memo(
+        "r_monotonic", lambda: _check_program_r_monotonic(program)
+    )
+
+
+def _check_program_r_monotonic(program: Program) -> List[RMonotonicReport]:
     return [check_rule_r_monotonic(rule, program) for rule in program.rules]
 
 

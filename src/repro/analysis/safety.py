@@ -236,7 +236,11 @@ def check_rule_safety(rule: Rule, program: Program) -> SafetyReport:
 
 
 def check_program_safety(program: Program) -> List[SafetyReport]:
-    """Per-rule safety reports for the whole program."""
+    """Per-rule safety reports for the whole program (memoized on it)."""
+    return program.memo("safety", lambda: _check_program_safety(program))
+
+
+def _check_program_safety(program: Program) -> List[SafetyReport]:
     return [check_rule_safety(rule, program) for rule in program.rules]
 
 

@@ -64,7 +64,6 @@ from repro.aggregates.algebra import MergeAlgebraVerdict, verify_merge_algebra
 from repro.analysis.classify import (
     ComponentClass,
     ComponentClassification,
-    ProgramClassification,
     classify_program,
 )
 from repro.analysis.dependencies import Component
@@ -487,19 +486,14 @@ def analyze_component_sharding(
     )
 
 
-def analyze_sharding(
-    program: Program,
-    *,
-    classification: Optional[ProgramClassification] = None,
-) -> ShardingReport:
-    """Prove or refute shard-safety for every component of ``program``.
+def analyze_sharding(program: Program) -> ShardingReport:
+    """Prove or refute shard-safety for every component of ``program``
+    (memoized on the program; reads its memoized classification)."""
+    return program.memo("sharding", lambda: _analyze_sharding(program))
 
-    ``classification`` may be passed when the caller already classified
-    the program (the analysis report does), to avoid re-running typing.
-    """
-    if classification is None:
-        classification = classify_program(program)
+
+def _analyze_sharding(program: Program) -> ShardingReport:
     report = ShardingReport(program)
-    for cls in classification.components:
+    for cls in classify_program(program).components:
         report.components.append(analyze_component_sharding(cls, program))
     return report

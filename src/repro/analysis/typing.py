@@ -346,7 +346,12 @@ def _solve_rule_variables(
 
 
 def infer_types(program: Program) -> TypingReport:
-    """Run the two-phase fixpoint and extract conflicts."""
+    """Run the two-phase fixpoint and extract conflicts (memoized on the
+    program)."""
+    return program.memo("typing", lambda: _infer_types(program))
+
+
+def _infer_types(program: Program) -> TypingReport:
     positions: Dict[_PosKey, ArgType] = {}
     mutable: Set[_PosKey] = set()
 

@@ -165,6 +165,14 @@ class Database:
                 f"fact has {len(args)} arguments"
             )
         self._facts.append((predicate, args))
+        if (
+            self._program_cache is not None
+            and predicate in self._program_cache.idb_predicates
+        ):
+            # A fact of a rule-defined predicate is a fact rule of the
+            # program (see :attr:`program`): the assembled program, and
+            # the analysis memoized on it, no longer describe the rules.
+            self._program_cache = None
         self.last_result = None
 
     def add_facts(self, predicate: str, rows: Iterable[Tuple[Any, ...]]) -> None:

@@ -12,7 +12,18 @@ dependency graph into strongly connected components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    TypeVar,
+)
 
 from repro.aggregates.base import AggregateFunction
 from repro.aggregates.standard import default_registry
@@ -21,6 +32,8 @@ from repro.datalog.errors import ProgramError
 from repro.datalog.rules import IntegrityConstraint, Rule
 from repro.datalog.spans import Span
 from repro.lattices.base import Lattice
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -124,8 +137,35 @@ class Program:
             self.declarations
         )
         self._infer_missing_declarations()
+        #: Static-analysis results keyed by pass name (see :meth:`memo`).
+        self._memo: Dict[Hashable, Any] = {}
         if validate:
             self.validate()
+
+    # -- analysis memo ----------------------------------------------------------
+
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The result of the static pass ``key`` on this program, from
+        ``compute()`` on first use and from the memo afterwards.
+
+        Every pass in :mod:`repro.analysis` (and the engine's pushdown
+        rewrite and rule plans) is a function of the program text alone,
+        so its result is cached here and shared by every later caller —
+        repeat solves, the linter, ``repro serve`` requests.  Cached
+        results are shared: treat them as read-only.  A program is not
+        edited after construction; a changed rule set is a new
+        ``Program`` (``Database`` rebuilds one on every ``load``), and
+        :func:`repro.engine.exec.clear_plan_cache` empties the memo.
+
+        No lock is taken: passes are pure, so two threads racing on a
+        cold key both compute and the first stored result is the one
+        every caller gets.  A pass that raises caches nothing.
+        """
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        return self._memo.setdefault(key, compute())
 
     # -- declaration handling -------------------------------------------------
 

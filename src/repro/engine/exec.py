@@ -878,7 +878,7 @@ def get_plan(
     probes are counted as plan-cache hits/misses.
     """
     cache: Dict[Tuple[int, FrozenSet[str], str], RulePlan]
-    cache = program.__dict__.setdefault("_exec_plan_cache", {})
+    cache = program.memo("plans", dict)
     cache_key = (
         id(rule),
         frozenset(v.name for v in pre_bound),
@@ -894,39 +894,35 @@ def get_plan(
 
 
 def clear_plan_cache(program: Program) -> None:
-    """Drop every cached plan (tests / planners that change statistics)."""
-    program.__dict__.pop("_exec_plan_cache", None)
-    program.__dict__.pop("_pushdown_cache", None)
+    """Drop every entry of the program's memo (:meth:`Program.memo`):
+    rule plans, the pushdown rewrite and every cached analysis pass
+    (tests / planners that change statistics)."""
+    program._memo.clear()
 
 
 def get_pushdown(program: Program, classification: Any = None) -> Any:
     """The cached aggregate-pushdown rewrite of ``program``.
 
     Like rule plans, the rewrite is computed once per program object and
-    cached on it — the premappability analysis
-    (:mod:`repro.analysis.premap`) runs whole-program static passes, so
-    repeated solves of the same database must not pay for it again.
-    ``classification`` optionally reuses an already-computed
-    :class:`~repro.analysis.classify.ProgramClassification` on the first
-    (cache-filling) call.  Returns a
+    memoized on it, over the program's memoized premappability and
+    classification passes (:mod:`repro.analysis.premap`), so repeated
+    solves of the same database do not pay for it again.  Returns a
     :class:`~repro.analysis.premap.PushdownResult`; callers check
     ``.changed`` and evaluate ``.program``.
-    """
-    cached = program.__dict__.get("_pushdown_cache")
-    if cached is None:
-        # Lazy import: analysis.premap imports the classify/fd passes,
-        # which reach back into the engine (greedy_applicable).
-        from repro.analysis.premap import (
-            analyze_premappability,
-            apply_pushdown,
-        )
 
-        report = analyze_premappability(
-            program, classification=classification
-        )
-        cached = apply_pushdown(program, report)
-        program.__dict__["_pushdown_cache"] = cached
-    return cached
+    ``classification`` is ignored — the program's own memoized
+    classification is the only one the rewrite can use — and is kept
+    only so existing two-argument callers keep working.
+    """
+    return program.memo("pushdown", lambda: _compute_pushdown(program))
+
+
+def _compute_pushdown(program: Program) -> Any:
+    # Lazy import: analysis.premap imports the classify/fd passes,
+    # which reach back into the engine (greedy_applicable).
+    from repro.analysis.premap import apply_pushdown
+
+    return apply_pushdown(program)
 
 
 def run_rule(

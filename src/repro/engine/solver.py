@@ -85,6 +85,9 @@ class SolveResult:
     #: ``components``) — informative for every method, decisive evidence
     #: for ``method="auto"``.
     component_methods: List[str] = field(default_factory=list)
+    #: The program's memoized static-analysis report (None under
+    #: ``check="none"``) — the same object on every solve of the
+    #: program, so read-only.
     analysis: Optional[AnalysisReport] = None
     #: Structured telemetry digest (per-rule / per-iteration tables);
     #: None unless the solve ran with a collecting tracer.
@@ -300,10 +303,6 @@ def _solve_traced(
                     diagnostics=_diags("MAD2"),
                 )
 
-    classification = (
-        analysis.classification if analysis is not None else None
-    )
-
     # -- aggregate pushdown (Zaniolo et al.): rewrite premappable
     # extrema before method selection, so classification-driven choices
     # see the program actually evaluated.  The rewrite's auxiliary
@@ -314,7 +313,7 @@ def _solve_traced(
     aux_predicates: FrozenSet[str] = frozenset()
     if _check_pushdown_mode(pushdown) == "auto":
         with tracer.phase("pushdown"):
-            rewrite = get_pushdown(program, classification)
+            rewrite = get_pushdown(program)
         if rewrite.changed:
             eval_program = rewrite.program
             aux_predicates = rewrite.aux_predicates
@@ -329,20 +328,14 @@ def _solve_traced(
                     )
 
     auto_methods: Dict[frozenset, str] = {}
-    eval_classification: Optional[ProgramClassification] = classification
-    if eval_program is not program and (
-        method == "auto" or plan == "sharded" or classification is not None
-    ):
-        # The rewrite changed the SCC structure; classify what runs so
+    eval_classification: Optional[ProgramClassification] = None
+    if method == "auto" or plan == "sharded" or analysis is not None:
+        # Classify what runs: after a rewrite changed the SCC structure,
         # auto picks methods (and telemetry reports verdicts) for the
-        # rewritten components, not the original ones.
+        # rewritten components, not the original ones.  Without a
+        # rewrite this is the analysis report's own (memoized) verdict.
         with tracer.phase("classify"):
             eval_classification = classify_program(eval_program)
-    elif (
-        method == "auto" or plan == "sharded"
-    ) and eval_classification is None:
-        with tracer.phase("classify"):
-            eval_classification = classify_program(program)
     if method == "auto":
         assert eval_classification is not None
         auto_methods = {
@@ -372,9 +365,7 @@ def _solve_traced(
     n_shards = shards if shards is not None else max(8, 4 * n_workers)
     if plan == "sharded":
         with tracer.phase("shard-plan"):
-            sharding_report = analyze_sharding(
-                eval_program, classification=eval_classification
-            )
+            sharding_report = analyze_sharding(eval_program)
 
     storage = _check_storage_mode(storage)
     state = (

@@ -23,7 +23,7 @@ from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
 
 from repro.engine.interpretation import IndexStats
 from repro.obs.events import SCHEMA_VERSION
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Timer
 
 
 class Sink(Protocol):
@@ -97,6 +97,7 @@ class Tracer:
         "_t0",
         "_started",
         "_rule_stats",
+        "_rule_instruments",
     )
 
     def __init__(
@@ -123,6 +124,12 @@ class Tracer:
         self._started = False
         #: id(rule) -> [rule, calls, derived atoms, cumulative wall s]
         self._rule_stats: Dict[int, List[Any]] = {}
+        #: ``record_rule``'s instruments, bound on its first call so the
+        #: per-firing path skips the registry's by-name lookup (and a
+        #: tracer that fires no rule registers none of them).
+        self._rule_instruments: Optional[
+            Tuple[Counter, Counter, Histogram, Timer]
+        ] = None
 
     @classmethod
     def disabled(cls) -> "Tracer":
@@ -187,11 +194,20 @@ class Tracer:
             entry[1] += 1
             entry[2] += derived
             entry[3] += wall_s
-        m = self.metrics
-        m.counter("rule.firings").inc()
-        m.counter("rule.derived").inc(derived)
-        m.histogram("rule.derived_per_firing").observe(float(derived))
-        m.timer("rule.wall_s").observe(wall_s)
+        instruments = self._rule_instruments
+        if instruments is None:
+            m = self.metrics
+            instruments = self._rule_instruments = (
+                m.counter("rule.firings"),
+                m.counter("rule.derived"),
+                m.histogram("rule.derived_per_firing"),
+                m.timer("rule.wall_s"),
+            )
+        firings, derived_total, per_firing, wall = instruments
+        firings.inc()
+        derived_total.inc(derived)
+        per_firing.observe(float(derived))
+        wall.observe(wall_s)
 
     def absorb_rule(
         self, rule: Any, calls: int, derived: int, wall_s: float

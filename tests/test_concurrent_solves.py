@@ -1,8 +1,8 @@
 """True concurrent solves in one process (ISSUE: the serving claim).
 
 The solve service runs many solves in one process on worker threads;
-correctness rests on three isolation properties this suite pins down
-*without* a server in the way:
+correctness rests on four properties this suite pins down, all but
+the first-request test *without* a server in the way:
 
 * per-solve telemetry — each solve's :class:`~repro.obs.Tracer`
   (events, metrics) sees only its own solve, because the tracer is
@@ -12,14 +12,26 @@ correctness rests on three isolation properties this suite pins down
   so two solves on different threads never cross-charge index work;
 * model isolation — :func:`repro.engine.solver.solve` copies its EDB on
   entry (``with_storage`` always copies), so concurrent solves over one
-  shared snapshot derive independent, correct models.
+  shared snapshot derive independent, correct models;
+* lock-free analysis memo — concurrent first solves of one
+  :class:`~repro.datalog.program.Program` may each run a cold pass
+  (:meth:`Program.memo` takes no lock), keep one result, and never fail.
 """
 
+import sys
 import threading
 
+from repro.analysis import analyze_program
 from repro.core.database import Database
 from repro.obs import Tracer
 from repro.programs import company_control, shortest_path
+from repro.serve import (
+    HostedDatabase,
+    ServeClient,
+    ServeSettings,
+    ServerThread,
+    SolveServer,
+)
 from repro.workloads import (
     company_control_oracle,
     dijkstra_all_pairs,
@@ -166,3 +178,85 @@ class TestConcurrentSolves:
         fingerprints = {r.model.fingerprint() for r in results}
         assert len(fingerprints) == 1
         assert snapshot.total_size() == before
+
+
+def test_concurrent_first_requests_share_the_cold_analysis(tmp_path):
+    """Eight requests hit a freshly hosted database at once: every one
+    races the cold analysis memo, and every one answers 200 with the rows
+    a sequential solve derives."""
+    db = Database(name="paths")
+    db.load(shortest_path.source)
+    db.add_facts("arc", PATH_ARCS)
+    hosted = HostedDatabase("paths", db)
+    program = hosted.program
+    assert not program._memo  # hosting analyses nothing eagerly
+    server = SolveServer(
+        {"paths": hosted},
+        ServeSettings(
+            max_inflight=8,
+            queue_depth=8,
+            flight_dir=str(tmp_path),
+            checkpoint_dir=None,
+        ),
+    )
+    thread = ServerThread(server)
+    port = thread.start()
+    barrier = threading.Barrier(8)
+    responses = []
+    lock = threading.Lock()
+
+    def request():
+        client = ServeClient("127.0.0.1", port, timeout=60.0)
+        barrier.wait()
+        response = client.solve("paths", "s")
+        with lock:
+            responses.append(response)
+
+    try:
+        threads = [threading.Thread(target=request) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        thread.drain(timeout=30.0)
+    assert [status for status, _ in responses] == [200] * 8, responses
+    sequential = shortest_path.database({"arc": PATH_ARCS}).solve(
+        method="auto"
+    )
+    rows = sequential.model.relation("s").rows()
+    expected = sorted((list(row) for row in rows), key=repr)
+    assert all(body["rows"] == expected for _, body in responses)
+    assert hosted.program is program
+    assert "analysis" in program._memo
+
+
+def test_racing_cold_memo_keeps_one_result():
+    """More threads than cores race every cold pass of one program with
+    a shortened switch interval: each gets the one stored report (a lost
+    update would hand some thread a different object), and none raises."""
+    program = shortest_path.database({"arc": PATH_ARCS}).program
+    barrier = threading.Barrier(8)
+    reports = []
+    lock = threading.Lock()
+
+    def analyze():
+        barrier.wait()
+        report = analyze_program(program)
+        with lock:
+            reports.append(report)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=analyze) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reports) == 8
+    assert all(report is analyze_program(program) for report in reports)
+    assert reports[0].ok

@@ -205,14 +205,14 @@ class TestPlanCache:
         off = get_plan(program, rule, frozenset(), mode="off", ctx=ctx)
         assert base is not seeded
         assert base is not off
-        assert len(program.__dict__["_exec_plan_cache"]) == 3
+        assert len(program.memo("plans", dict)) == 3
 
     def test_clear_plan_cache(self):
         program, ctx = setup("p(X) <- e(X, X).", {"e": [(1, 1)]})
         rule = program.rules[0]
         first = get_plan(program, rule, frozenset(), mode="smart", ctx=ctx)
         clear_plan_cache(program)
-        assert "_exec_plan_cache" not in program.__dict__
+        assert not program._memo
         assert get_plan(program, rule, ctx=ctx) is not first
 
 
