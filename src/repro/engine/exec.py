@@ -27,7 +27,6 @@ fixpoint rounds.  See docs/PERFORMANCE.md.
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import (
     Any,
     Dict,
@@ -484,7 +483,13 @@ class RulePlan:
     def execute(
         self, ctx: EvalContext, seed: Optional[Bindings] = None
     ) -> Iterator[Tuple[str, Key]]:
-        """Enumerate ``(head predicate, ground argument tuple)`` pairs."""
+        """Enumerate ``(head predicate, ground argument tuple)`` pairs.
+
+        One call is one *rule firing*: the ``rule_firing`` fault seam
+        trips when enumeration starts.
+        """
+        if _faults._ACTIVE is not None:  # fault-injection seam
+            _faults.trip("rule_firing", self.head_predicate)
         regs: List[Any] = [_UNSET] * self.nslots
         if seed:
             slot_of = self.slot_of
@@ -866,6 +871,7 @@ def get_plan(
     *,
     mode: str = "smart",
     ctx: Optional[EvalContext] = None,
+    probes: int = 1,
 ) -> RulePlan:
     """The cached plan for ``(rule, pre-bound variables, mode)``.
 
@@ -874,8 +880,11 @@ def get_plan(
     initial ``T_P`` round, where the extensional relations dominate) and
     the resulting order is reused for the program's lifetime.
 
-    When the context carries an enabled tracer (:mod:`repro.obs`), cache
-    probes are counted as plan-cache hits/misses.
+    The delta-driven evaluators look a plan up once per seed shape per
+    round and fire it ``probes`` times; when the context carries an
+    enabled tracer (:mod:`repro.obs`) the lookup is counted as that many
+    plan-cache probes — a miss (compilation) and ``probes - 1`` hits, or
+    ``probes`` hits — exactly what ``probes`` separate lookups count.
     """
     cache: Dict[Tuple[int, FrozenSet[str], str], RulePlan]
     cache = program.memo("plans", dict)
@@ -886,7 +895,10 @@ def get_plan(
     )
     plan = cache.get(cache_key)
     if ctx is not None and ctx.tracer.enabled:
-        ctx.tracer.count_plan(plan is not None)
+        if plan is None:
+            ctx.tracer.count_plans(probes - 1, 1)
+        else:
+            ctx.tracer.count_plans(probes, 0)
     if plan is None:
         plan = compile_rule(rule, program, pre_bound, mode=mode, ctx=ctx)
         cache[cache_key] = plan
@@ -936,20 +948,9 @@ def run_rule(
 
     ``seed`` pre-binds variables (semi-naive delta seeds); the plan is
     compiled once per distinct seed *shape* and cached on the program.
-
-    With an enabled tracer on the context the execution is materialised
-    eagerly so its wall time and derived-atom count can be charged to the
-    rule (``tracer.record_rule``); the untraced path stays lazy and pays
-    only the ``enabled`` check.
+    The enumeration is lazy; telemetry is the calling evaluator's job
+    (it accounts firings per round, docs/OBSERVABILITY.md §6).
     """
-    if _faults._ACTIVE is not None:  # fault-injection seam
-        _faults.trip("rule_firing", rule.head.predicate)
     pre_bound = frozenset(seed) if seed else frozenset()
     plan = get_plan(ctx.program, rule, pre_bound, mode=mode, ctx=ctx)
-    tracer = ctx.tracer
-    if not tracer.enabled:
-        return plan.execute(ctx, seed)
-    t0 = perf_counter()
-    derived = list(plan.execute(ctx, seed))
-    tracer.record_rule(rule, len(derived), perf_counter() - t0)
-    return iter(derived)
+    return plan.execute(ctx, seed)

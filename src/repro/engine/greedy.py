@@ -32,11 +32,10 @@ from typing import Any, List, Optional, Tuple
 from repro.analysis.dependencies import Component
 from repro.datalog.errors import ReproError
 from repro.datalog.program import Program
-from repro.engine.exec import run_rule
 from repro.engine.grounding import EvalContext
 from repro.engine.interpretation import Interpretation
 from repro.engine.naive import FixpointResult
-from repro.engine.seminaive import DeltaRows, _delta_seeds
+from repro.engine.seminaive import RuleAccounts, fire_delta
 from repro.engine.supervisor import (
     NULL_SUPERVISOR,
     SolveInterrupt,
@@ -87,7 +86,10 @@ def greedy_fixpoint(
 
     With an enabled ``tracer`` each *settled* atom emits one
     ``iteration`` event (the greedy analogue of a fixpoint round:
-    exactly one atom becomes final per settle).
+    exactly one atom becomes final per settle); the rule firings of all
+    settles reach the tracer as one batch when the fixpoint ends.  Since
+    every settle adds one atom, the model size is a running count, not
+    a recount.
 
     An active ``supervisor`` is polled per pop and consulted per settle;
     an interrupt escapes with the settled-so-far state attached — under
@@ -123,6 +125,11 @@ def greedy_fixpoint(
     ctx = EvalContext(program, cdb, j, i, tracer=tracer)
     track = tracer.enabled
     supervise = supervisor.active
+    # Restored atoms; each settle then adds exactly one.
+    base_atoms = j.total_size()
+    # A settle fires a rule or two, so rule firings are accounted for
+    # the whole fixpoint, not per settle.
+    accounts: Optional[RuleAccounts] = {} if track else None
 
     counter = itertools.count()
     heap: List[Tuple[float, int, str, Tuple[Any, ...]]] = []
@@ -179,16 +186,24 @@ def greedy_fixpoint(
             # so the long-lived context sees the settled atom immediately.
             rel.set_cost(key, value, strict=False)
             settled_count += 1
-            delta: DeltaRows = {predicate: [args]}
-            for rule in rules:
-                for seed_bindings in _delta_seeds(rule, cdb, delta):
-                    for head_pred, head_args in run_rule(
-                        rule, ctx, seed=seed_bindings, mode=plan
-                    ):
-                        head_rel = j.relation(head_pred)
-                        if head_args[:-1] in head_rel.costs:
-                            continue
-                        push(head_pred, head_args)
+            derived: List[Tuple[str, Tuple[Any, ...]]] = []
+            # Polled per pop above, not per firing: a settle runs whole.
+            fire_delta(
+                rules,
+                cdb,
+                {predicate: [args]},
+                ctx,
+                derived,
+                plan=plan,
+                supervisor=NULL_SUPERVISOR,
+                scc=scc,
+                iteration=settled_count,
+                accounts=accounts,
+            )
+            for head_pred, head_args in derived:
+                if head_args[:-1] in j.relation(head_pred).costs:
+                    continue
+                push(head_pred, head_args)
             if track:
                 settle_wall = round(tracer.clock() - t_settle, 6)
                 tracer.emit(
@@ -198,12 +213,10 @@ def greedy_fixpoint(
                     delta_atoms=1,
                     new_atoms=1,
                     changed_atoms=0,
-                    total_atoms=j.total_size(),
+                    total_atoms=base_atoms + settled_count,
                     wall_s=settle_wall,
                 )
-                m = tracer.metrics
-                m.counter("greedy.settled").inc()
-                m.timer("greedy.settle_wall_s").observe(settle_wall)
+                tracer.record_settle(settle_wall)
             if supervise:
                 # One settle = the greedy analogue of a fixpoint round.
                 supervisor.on_round(
@@ -211,7 +224,7 @@ def greedy_fixpoint(
                     iteration=settled_count,
                     new_atoms=1,
                     changed_atoms=0,
-                    total_atoms=j.total_size(),
+                    total_atoms=base_atoms + settled_count,
                 )
     except SolveInterrupt as interrupt:
         # Check sites sit between settles, so ``j`` holds only fully
@@ -221,15 +234,18 @@ def greedy_fixpoint(
                 interpretation=j,
                 iterations=settled_count,
                 ascending=True,
-                trajectory=[j.total_size()],
+                trajectory=[base_atoms + settled_count],
                 status=interrupt.status,
             )
         )
         raise
+    finally:
+        if accounts:
+            tracer.record_rules(accounts.values())
 
     return FixpointResult(
         interpretation=j,
         iterations=settled_count,
         ascending=True,
-        trajectory=[j.total_size()],
+        trajectory=[base_atoms + settled_count],
     )

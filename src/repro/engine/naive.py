@@ -89,8 +89,9 @@ def kleene_fixpoint(
     trajectory: List[int] = []
     seen: Dict[int, int] = {j.fingerprint(): 0}
     supervise = supervisor.active
+    track = tracer.enabled
     for step in range(1, max_iterations + 1):
-        t_round = tracer.clock() if tracer.enabled else 0.0
+        t_round = tracer.clock() if track else 0.0
         try:
             j_next = apply_tp(
                 program,
@@ -119,9 +120,12 @@ def kleene_fixpoint(
             raise
         if resumed:
             j_next = j.join(j_next)
-        if tracer.enabled or supervise:
+        # Each iterate is a fresh interpretation (and a non-monotonic
+        # program can drop atoms), so its size is taken, once per round.
+        size = j_next.total_size()
+        if track or supervise:
             new_atoms, changed = delta_counts(j, j_next)
-        if tracer.enabled:
+        if track:
             round_wall = round(tracer.clock() - t_round, 6)
             tracer.emit(
                 "iteration",
@@ -130,20 +134,13 @@ def kleene_fixpoint(
                 delta_atoms=new_atoms + changed,
                 new_atoms=new_atoms,
                 changed_atoms=changed,
-                total_atoms=j_next.total_size(),
+                total_atoms=size,
                 wall_s=round_wall,
             )
-            m = tracer.metrics
-            m.counter("fixpoint.rounds").inc()
-            m.counter("fixpoint.new_atoms").inc(new_atoms)
-            m.counter("fixpoint.changed_atoms").inc(changed)
-            m.histogram("fixpoint.delta_atoms").observe(
-                float(new_atoms + changed)
-            )
-            m.timer("fixpoint.round_wall_s").observe(round_wall)
+            tracer.record_round(new_atoms, changed, new_atoms + changed, round_wall)
         if on_step is not None:
             on_step(step, j_next)
-        trajectory.append(j_next.total_size())
+        trajectory.append(size)
         if j_next == j:
             return FixpointResult(
                 interpretation=j,
@@ -170,7 +167,7 @@ def kleene_fixpoint(
                     iteration=step,
                     new_atoms=new_atoms,
                     changed_atoms=changed,
-                    total_atoms=j.total_size(),
+                    total_atoms=size,
                 )
             except SolveInterrupt as interrupt:
                 interrupt.attach(

@@ -25,16 +25,16 @@ tests across the paper's example programs and randomized workloads.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import AggregateSubgoal, Atom, AtomSubgoal
 from repro.datalog.errors import NonTerminationError
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Variable
-from repro.engine.exec import run_rule
+from repro.engine.exec import get_plan
 from repro.engine.grounding import Bindings, EvalContext
-from repro.engine.interpretation import Interpretation
+from repro.engine.interpretation import Interpretation, Relation
 from repro.engine.naive import FixpointResult
 from repro.engine.supervisor import (
     NULL_SUPERVISOR,
@@ -85,13 +85,15 @@ def _delta_between(old: Interpretation, new: Interpretation) -> DeltaRows:
 
 #: One compiled seed source: (predicate, arity, constant checks as
 #: (position, value), duplicate-variable checks as (position, first
-#: position), seed writes as (variable, position)).
+#: position), seed writes as (variable, position), and the seed's
+#: *shape* — the variables it pre-binds, which key the rule's plan).
 _SeedPlan = Tuple[
     str,
     int,
     Tuple[Tuple[int, Any], ...],
     Tuple[Tuple[int, int], ...],
     Tuple[Tuple[Variable, int], ...],
+    FrozenSet[Variable],
 ]
 
 
@@ -121,6 +123,7 @@ def _row_seed_plan(atom: Atom, keep: Optional[FrozenSet[Variable]]) -> _SeedPlan
         tuple(checks),
         tuple(dups),
         tuple(writes),
+        frozenset(var for var, _ in writes),
     )
 
 
@@ -144,9 +147,13 @@ def _seed_plans(rule: Rule, cdb: FrozenSet[str]) -> List[_SeedPlan]:
     return plans
 
 
-def _delta_seeds(
+#: A rule's delta seeds, grouped by seed shape: ``(shape, seeds)``.
+SeedGroups = List[Tuple[FrozenSet[Variable], List[Bindings]]]
+
+
+def _delta_seed_groups(
     rule: Rule, cdb: FrozenSet[str], delta: DeltaRows
-) -> Iterator[Bindings]:
+) -> SeedGroups:
     """Pinned initial bindings for re-evaluating ``rule``.
 
     For a positive CDB atom subgoal the changed row binds the subgoal's
@@ -158,13 +165,18 @@ def _delta_seeds(
 
     Seeds are deduplicated by a frozenset-of-items fingerprint — an
     order-free O(k) key (a bindings dict cannot bind one variable twice,
-    so equal item sets mean equal seeds).
+    so equal item sets mean equal seeds).  They come grouped by seed
+    source, in source order, one group per source that yields a new
+    seed; every seed of a group binds the same variables (its shape), so
+    a group needs one plan lookup however many seeds it holds.
     """
     seen: Set[FrozenSet[Tuple[Variable, Any]]] = set()
-    for predicate, arity, checks, dups, writes in _seed_plans(rule, cdb):
+    groups: SeedGroups = []
+    for predicate, arity, checks, dups, writes, shape in _seed_plans(rule, cdb):
         rows = delta.get(predicate)
         if not rows:
             continue
+        seeds: List[Bindings] = []
         for row in rows:
             if len(row) != arity:
                 continue
@@ -184,19 +196,82 @@ def _delta_seeds(
             fingerprint = frozenset(seed.items())
             if fingerprint not in seen:
                 seen.add(fingerprint)
-                yield seed
+                seeds.append(seed)
+        if seeds:
+            groups.append((shape, seeds))
+    return groups
 
 
-def _apply_derivation(
-    target: Interpretation, predicate: str, args: Tuple[Any, ...]
-) -> bool:
-    """Join one derived head atom into ``target``; True if it changed.
+#: Per-rule firing accounts for the tracer: ``id(rule) -> [rule,
+#: {atoms derived: firings}, wall seconds]`` (``Tracer.record_rules``).
+RuleAccounts = Dict[int, List[Any]]
+
+
+def fire_delta(
+    rules: List[Rule],
+    cdb: FrozenSet[str],
+    delta: DeltaRows,
+    ctx: EvalContext,
+    derived: List[Tuple[str, Tuple[Any, ...]]],
+    *,
+    plan: str,
+    supervisor: Supervisor,
+    scc: int,
+    iteration: int,
+    accounts: Optional[RuleAccounts],
+) -> None:
+    """Fire ``rules`` on every seed ``delta`` pins, appending the head
+    atoms they derive to ``derived``.
+
+    A rule's plan is looked up once per seed shape and fired once per
+    seed; an active ``supervisor`` is polled before every firing.  A
+    traced caller passes ``accounts``: each rule's firings are tallied
+    there by atoms derived, in plain integers, and the rule is timed
+    once per call — the caller hands the accounts to the tracer once per
+    round (:meth:`~repro.obs.tracer.Tracer.record_rules`).  Tallies are
+    updated per firing, so a round cut short by an exception still
+    counts the firings it made.
+    """
+    supervise = supervisor.active
+    program = ctx.program
+    clock = ctx.tracer.clock
+    for rule in rules:
+        groups = _delta_seed_groups(rule, cdb, delta)
+        if not groups:
+            continue
+        if accounts is not None:
+            account = accounts.get(id(rule))
+            if account is None:
+                account = accounts[id(rule)] = [rule, {}, 0.0]
+            tally = account[1]
+            t_rule = clock()
+        for shape, seeds in groups:
+            execute = get_plan(
+                program, rule, shape, mode=plan, ctx=ctx, probes=len(seeds)
+            ).execute
+            for seed in seeds:
+                if supervise:
+                    supervisor.poll(scc, iteration)
+                if accounts is not None:
+                    before = len(derived)
+                    derived.extend(execute(ctx, seed))
+                    atoms = len(derived) - before
+                    tally[atoms] = tally.get(atoms, 0) + 1
+                else:
+                    derived.extend(execute(ctx, seed))
+        if accounts is not None:
+            account[2] += clock() - t_rule
+
+
+def _apply_derivation(rel: Relation, args: Tuple[Any, ...]) -> bool:
+    """Join one derived head atom into its relation; True if it changed.
 
     Routed through the relation mutators so the persistent indexes stay
     consistent across rounds (``set_cost(strict=False)`` joins on
-    conflict, which is exactly the semi-naive merge semantics).
+    conflict, which is exactly the semi-naive merge semantics).  A
+    change either adds a key (the relation grows by one) or raises an
+    existing key's cost.
     """
-    rel = target.relation(predicate)
     if rel.is_cost:
         assert rel.decl.lattice is not None
         rel.decl.lattice.validate(args[-1])
@@ -273,10 +348,14 @@ def seminaive_fixpoint(
         )
         j = start.join(out) if resumed else out
         delta = _delta_between(start, j)
-        trajectory.append(j.total_size())
+        # The model size, kept as a running count from here on: later
+        # rounds only grow ``j`` through ``_apply_derivation``.
+        total = j.total_size()
+        trajectory.append(total)
         iterations = 1
-        if track:
+        if track or supervise:
             seeded = sum(len(rows) for rows in delta.values())
+        if track:
             round_wall = round(tracer.clock() - t_round, 6)
             tracer.emit(
                 "iteration",
@@ -285,27 +364,28 @@ def seminaive_fixpoint(
                 delta_atoms=seeded,
                 new_atoms=seeded,
                 changed_atoms=0,
-                total_atoms=j.total_size(),
+                total_atoms=total,
                 wall_s=round_wall,
             )
-            m = tracer.metrics
-            m.counter("fixpoint.rounds").inc()
-            m.counter("fixpoint.new_atoms").inc(seeded)
-            m.histogram("fixpoint.delta_atoms").observe(float(seeded))
-            m.timer("fixpoint.round_wall_s").observe(round_wall)
+            tracer.record_round(seeded, None, seeded, round_wall)
         if supervise:
-            seeded = sum(len(rows) for rows in delta.values())
             supervisor.on_round(
                 scc=scc,
                 iteration=1,
                 new_atoms=seeded,
                 changed_atoms=0,
-                total_atoms=j.total_size(),
+                total_atoms=total,
             )
 
         # Rules that read no CDB predicate can never fire on a delta.
         dependent_rules = [
             r for r in rules if any(p in cdb for p in r.body_predicates())
+        ]
+        # The relations a round can grow: a round's new atoms are their
+        # growth, and every other applied derivation changed a cost.
+        grown = [
+            j.relation(p)
+            for p in sorted({r.head.predicate for r in dependent_rules})
         ]
 
         # One context for the whole fixpoint: the persistent indexes on
@@ -324,41 +404,45 @@ def seminaive_fixpoint(
                 )
             t_round = tracer.clock() if track else 0.0
             derived: List[Tuple[str, Tuple[Any, ...]]] = []
-            for rule in dependent_rules:
-                for seed in _delta_seeds(rule, cdb, delta):
-                    if supervise:
-                        # Rule-firing boundary: ``j`` is untouched until
-                        # the whole round's derivations apply below.
-                        supervisor.poll(scc, iterations)
-                    derived.extend(run_rule(rule, ctx, seed=seed, mode=plan))
+            accounts: Optional[RuleAccounts] = {} if track else None
+            # Rule-firing boundaries poll the supervisor: ``j`` is
+            # untouched until the whole round's derivations apply below.
+            try:
+                fire_delta(
+                    dependent_rules,
+                    cdb,
+                    delta,
+                    ctx,
+                    derived,
+                    plan=plan,
+                    supervisor=supervisor,
+                    scc=scc,
+                    iteration=iterations,
+                    accounts=accounts,
+                )
+            finally:
+                if accounts:
+                    tracer.record_rules(accounts.values())
             new_delta: DeltaRows = {}
-            new_atoms = changed_atoms = 0
-            count = track or supervise
+            size_before = sum(len(rel) for rel in grown)
             for predicate, args in derived:
                 rel = j.relation(predicate)
-                if count:
-                    existed = (
-                        args[:-1] in rel.costs
-                        if rel.is_cost
-                        else args in rel.tuples
-                    )
-                if _apply_derivation(j, predicate, args):
-                    if count:
-                        if existed:
-                            changed_atoms += 1
-                        else:
-                            new_atoms += 1
+                if _apply_derivation(rel, args):
                     if rel.is_cost:
                         key = args[:-1]
                         row = key + (rel.costs[key],)  # value after joining
                     else:
                         row = args
                     new_delta.setdefault(predicate, []).append(row)
+            new_atoms = sum(len(rel) for rel in grown) - size_before
             delta = new_delta
-            trajectory.append(j.total_size())
+            total += new_atoms
+            trajectory.append(total)
             iterations += 1
-            if track:
+            if track or supervise:
                 delta_size = sum(len(rows) for rows in delta.values())
+                changed_atoms = delta_size - new_atoms
+            if track:
                 round_wall = round(tracer.clock() - t_round, 6)
                 tracer.emit(
                     "iteration",
@@ -367,22 +451,19 @@ def seminaive_fixpoint(
                     delta_atoms=delta_size,
                     new_atoms=new_atoms,
                     changed_atoms=changed_atoms,
-                    total_atoms=j.total_size(),
+                    total_atoms=total,
                     wall_s=round_wall,
                 )
-                m = tracer.metrics
-                m.counter("fixpoint.rounds").inc()
-                m.counter("fixpoint.new_atoms").inc(new_atoms)
-                m.counter("fixpoint.changed_atoms").inc(changed_atoms)
-                m.histogram("fixpoint.delta_atoms").observe(float(delta_size))
-                m.timer("fixpoint.round_wall_s").observe(round_wall)
+                tracer.record_round(
+                    new_atoms, changed_atoms, delta_size, round_wall
+                )
             if supervise:
                 supervisor.on_round(
                     scc=scc,
                     iteration=iterations,
                     new_atoms=new_atoms,
                     changed_atoms=changed_atoms,
-                    total_atoms=j.total_size(),
+                    total_atoms=total,
                 )
     except SolveInterrupt as interrupt:
         # ``j`` only mutates in the apply-derivations block, which has no

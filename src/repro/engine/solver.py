@@ -650,6 +650,16 @@ def _shard_decision(
     return True, ""
 
 
+def _rule_labels(program: Program) -> Dict[int, Tuple[int, str]]:
+    """``id(rule) -> (rule index, rule text)`` for ``rule_profile``
+    events; memoized on the program, so repeat solves and serve
+    requests do not pretty-print every rule again."""
+    return program.memo(
+        "rule_labels",
+        lambda: {id(rule): (i, str(rule)) for i, rule in enumerate(program.rules)},
+    )
+
+
 def _flush_telemetry(
     tracer: Tracer, program: Program, result: SolveResult, t_solve: float
 ) -> None:
@@ -658,40 +668,45 @@ def _flush_telemetry(
     for index, component in enumerate(result.components):
         for predicate in component.cdb:
             scc_of[predicate] = index
-    rule_index = {id(rule): i for i, rule in enumerate(program.rules)}
+    labels = _rule_labels(program)
     rows = sorted(
         tracer.rule_stats(),
-        key=lambda row: rule_index.get(id(row[0]), -1),
+        key=lambda row: labels.get(id(row[0]), (-1, ""))[0],
     )
     for rule, calls, derived, wall in rows:
+        rule_index, text = labels.get(id(rule)) or (-1, str(rule))
         tracer.emit(
             "rule_profile",
-            rule=str(rule),
-            rule_index=rule_index.get(id(rule), -1),
+            rule=text,
+            rule_index=rule_index,
             head=rule.head.predicate,
             scc=scc_of.get(rule.head.predicate),
             calls=calls,
             derived=derived,
             wall_s=round(wall, 6),
         )
+    m = tracer.metrics
+    hits, misses = m.get("plan.cache_hits"), m.get("plan.cache_misses")
     tracer.emit(
         "counters",
         index=tracer.index_stats.snapshot(),
-        plan_cache={"hits": tracer.plan_hits, "misses": tracer.plan_misses},
+        plan_cache={
+            "hits": hits.value if hits is not None else 0,
+            "misses": misses.value if misses is not None else 0,
+        },
     )
     solve_wall = round(tracer.clock() - t_solve, 6)
-    m = tracer.metrics
+    atoms = result.model.total_size()
     m.counter("solve.components").inc(len(result.components))
-    m.gauge("solve.atoms").set(float(result.model.total_size()))
+    m.gauge("solve.atoms").set(float(atoms))
     m.timer("solve.wall_s").observe(solve_wall)
     # The merged registry (parent sites + worker snapshots folded at the
     # shard barrier) rides the stream as one ``metrics_snapshot`` event,
     # emitted before ``solve_end`` so the flight-recorder ring keeps it.
-    if len(tracer.metrics):
-        tracer.emit("metrics_snapshot", metrics=tracer.metrics.snapshot())
+    tracer.emit("metrics_snapshot", metrics=m.snapshot())
     tracer.emit(
         "solve_end",
         iterations=result.total_iterations,
-        atoms=result.model.total_size(),
+        atoms=atoms,
         wall_s=solve_wall,
     )

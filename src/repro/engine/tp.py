@@ -16,7 +16,7 @@ standing assumption that components are cost consistent.
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.datalog.program import Program
 from repro.datalog.rules import Rule
@@ -60,6 +60,11 @@ def apply_tp(
     An active ``supervisor`` is polled between rules (a rule-firing
     boundary): the staging interpretation ``out`` is discarded on
     interrupt, so ``j`` and ``i`` are never observed half-updated.
+
+    With an enabled ``tracer`` every rule fires exactly once here, its
+    output counted and timed; the round's firings reach the tracer as
+    one batch (:meth:`~repro.obs.tracer.Tracer.record_rules`), also when
+    the round is cut short by an exception.
     """
     if rules is None:
         rules = [r for r in program.rules if r.head.predicate in cdb]
@@ -74,15 +79,28 @@ def apply_tp(
     )
     out = Interpretation(program.declarations, storage=storage)
     check = supervisor.active
-    for rule in rules:
-        if check:
-            supervisor.poll(scc)
-        for predicate, args in run_rule(rule, ctx, mode=plan):
-            rel = out.relation(predicate)
-            if rel.is_cost:
-                assert rel.decl.lattice is not None
-                rel.decl.lattice.validate(args[-1])
-                rel.set_cost(args[:-1], args[-1], strict=strict)
+    track = tracer.enabled
+    batch: List[Tuple[Rule, Dict[int, int], float]] = []
+    try:
+        for rule in rules:
+            if check:
+                supervisor.poll(scc)
+            atoms: Iterable[Tuple[str, Tuple[Any, ...]]]
+            if track:
+                t_rule = tracer.clock()
+                atoms = list(run_rule(rule, ctx, mode=plan))
+                batch.append((rule, {len(atoms): 1}, tracer.clock() - t_rule))
             else:
-                rel.add_tuple(args)
+                atoms = run_rule(rule, ctx, mode=plan)
+            for predicate, args in atoms:
+                rel = out.relation(predicate)
+                if rel.is_cost:
+                    assert rel.decl.lattice is not None
+                    rel.decl.lattice.validate(args[-1])
+                    rel.set_cost(args[:-1], args[-1], strict=strict)
+                else:
+                    rel.add_tuple(args)
+    finally:
+        if batch:
+            tracer.record_rules(batch)
     return out

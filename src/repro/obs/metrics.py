@@ -168,6 +168,23 @@ class Histogram:
             index = _bucket_index(value)
             self.buckets[index] = self.buckets.get(index, 0) + 1
 
+    def observe_n(self, value: float, n: int) -> None:
+        """Record ``value`` ``n`` times (``n >= 1``) — the exact fold of
+        ``n`` :meth:`observe` calls: counts and bounds are identical, and
+        ``sum`` is too whenever ``value * n`` is exact (integer-valued
+        observations, as in the tracer's per-firing tallies)."""
+        self.count += n
+        self.total += value * n
+        if self.vmin is None or value < self.vmin:
+            self.vmin = value
+        if self.vmax is None or value > self.vmax:
+            self.vmax = value
+        if value <= 0.0:
+            self.zero += n
+        else:
+            index = _bucket_index(value)
+            self.buckets[index] = self.buckets.get(index, 0) + n
+
     def quantile(self, q: float) -> Optional[float]:
         """The log-linear estimate of the ``q``-quantile (None if empty).
 

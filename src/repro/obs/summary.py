@@ -371,7 +371,20 @@ def summarize(events: Iterable[Dict[str, Any]]) -> TelemetrySummary:
     scc_rows: Dict[int, SccStat] = {}
     for event in events:
         kind = event.get("type")
-        if kind == "trace_start":
+        if kind == "iteration":  # by far the most frequent event
+            get = event.get
+            summary.iterations.append(
+                IterationStat(
+                    int(get("scc", -1)),
+                    int(get("iteration", 0)),
+                    int(get("delta_atoms", 0)),
+                    int(get("new_atoms", 0)),
+                    int(get("changed_atoms", 0)),
+                    int(get("total_atoms", 0)),
+                    float(get("wall_s", 0.0)),
+                )
+            )
+        elif kind == "trace_start":
             summary.program = event.get("program")
         elif kind == "phase_end":
             summary.phases.append(
@@ -403,18 +416,6 @@ def summarize(events: Iterable[Dict[str, Any]]) -> TelemetrySummary:
             row.iterations = int(event.get("iterations", 0))
             row.atoms = int(event.get("atoms", 0))
             row.wall_s = float(event.get("wall_s", 0.0))
-        elif kind == "iteration":
-            summary.iterations.append(
-                IterationStat(
-                    scc=int(event.get("scc", -1)),
-                    iteration=int(event.get("iteration", 0)),
-                    delta_atoms=int(event.get("delta_atoms", 0)),
-                    new_atoms=int(event.get("new_atoms", 0)),
-                    changed_atoms=int(event.get("changed_atoms", 0)),
-                    total_atoms=int(event.get("total_atoms", 0)),
-                    wall_s=float(event.get("wall_s", 0.0)),
-                )
-            )
         elif kind == "rule_profile":
             summary.rules.append(
                 RuleStat(

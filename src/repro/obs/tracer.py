@@ -1,16 +1,23 @@
 """The :class:`Tracer` — span / counter / event primitives with sinks.
 
 A tracer is the per-solve telemetry hub: the engine emits schema'd
-events (:mod:`repro.obs.events`) through it, the compiled executors
-aggregate per-rule firing counts and wall time on it, and it *owns* the
-solve's :class:`~repro.engine.interpretation.IndexStats` so concurrent
-solves stop sharing the process-global counter singleton.
+events (:mod:`repro.obs.events`) through it, the fixpoint evaluators
+hand it per-rule firing counts and wall time once per round, and it
+*owns* the solve's :class:`~repro.engine.interpretation.IndexStats` so
+concurrent solves stop sharing the process-global counter singleton.
 
-Instrumentation cost discipline: every hot-loop site guards on
-``tracer.enabled`` — a single attribute read — before doing any other
-work, and the shared :data:`NULL_TRACER` keeps ``enabled`` False
-forever.  An untraced solve therefore pays one branch per potential
-event, nothing more (the <5% overhead budget of docs/OBSERVABILITY.md).
+Instrumentation cost discipline (docs/OBSERVABILITY.md §6):
+
+* every hot-loop site guards on ``tracer.enabled`` — a single attribute
+  read — before doing any other work, and the shared
+  :data:`NULL_TRACER` keeps ``enabled`` False forever, so an untraced
+  solve pays one branch per potential event, nothing more;
+* a traced solve does its accounting *per round, not per rule firing*:
+  the evaluators count firings in local integers, time each rule once
+  per round and hand one batch to :meth:`Tracer.record_rules`; plan
+  cache probes arrive the same way (:meth:`Tracer.count_plans`).  The
+  batches are folded into the registry only when it is read
+  (:attr:`Tracer.metrics`), so the hot path does no registry lookup.
 """
 
 from __future__ import annotations
@@ -19,11 +26,22 @@ import io
 import json
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Protocol, Tuple, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.engine.interpretation import IndexStats
 from repro.obs.events import SCHEMA_VERSION
-from repro.obs.metrics import Counter, Histogram, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, MetricsRegistry
 
 
 class Sink(Protocol):
@@ -78,8 +96,10 @@ class Tracer:
     * ``index_stats`` — this solve's index hit/miss/build counters
       (bound for the duration of the solve via
       :func:`repro.engine.interpretation.use_index_stats`);
-    * ``plan_hits`` / ``plan_misses`` — compiled-plan cache probes;
-    * per-rule executor statistics (:meth:`record_rule`), flushed as
+    * ``metrics`` — the solve's mergeable instruments, including the
+      ``rule.*`` and ``plan.cache_*`` counters folded from the pending
+      per-round batches on every read;
+    * per-rule executor statistics (:meth:`record_rules`), flushed as
       ``rule_profile`` events by the solver at solve end.
     """
 
@@ -89,15 +109,19 @@ class Tracer:
         "collect",
         "events",
         "index_stats",
-        "metrics",
-        "plan_hits",
-        "plan_misses",
         "clock",
+        "_metrics",
         "_seq",
         "_t0",
         "_started",
         "_rule_stats",
-        "_rule_instruments",
+        "_pending",
+        "_tally",
+        "_walls",
+        "_rounds",
+        "_settles",
+        "_plan_hits",
+        "_plan_misses",
     )
 
     def __init__(
@@ -111,25 +135,24 @@ class Tracer:
         self.collect = collect
         self.events: List[Dict[str, Any]] = []
         self.index_stats = IndexStats()
-        #: The solve's mergeable instruments (docs/OBSERVABILITY.md):
-        #: populated at the guarded instrumentation sites, merged with
-        #: worker snapshots at the shard barrier, snapshotted into the
-        #: ``metrics_snapshot`` event at solve end.
-        self.metrics = MetricsRegistry()
-        self.plan_hits = 0
-        self.plan_misses = 0
         self.clock = clock
+        self._metrics = MetricsRegistry()
         self._seq = 0
         self._t0 = clock()
         self._started = False
         #: id(rule) -> [rule, calls, derived atoms, cumulative wall s]
         self._rule_stats: Dict[int, List[Any]] = {}
-        #: ``record_rule``'s instruments, bound on its first call so the
-        #: per-firing path skips the registry's by-name lookup (and a
-        #: tracer that fires no rule registers none of them).
-        self._rule_instruments: Optional[
-            Tuple[Counter, Counter, Histogram, Timer]
-        ] = None
+        # Pending batches, not yet in the registry (``metrics`` folds
+        # them): atoms derived per firing -> firings, one wall per rule
+        # per round, one row per fixpoint round, one wall per greedy
+        # settle, plan-cache probes.
+        self._pending = False
+        self._tally: Dict[int, int] = {}
+        self._walls: List[float] = []
+        self._rounds: List[Tuple[int, Optional[int], int, float]] = []
+        self._settles: List[float] = []
+        self._plan_hits = 0
+        self._plan_misses = 0
 
     @classmethod
     def disabled(cls) -> "Tracer":
@@ -150,8 +173,8 @@ class Tracer:
             "seq": self._seq,
             "t": round(self.clock() - self._t0, 6),
             "type": event_type,
+            **payload,
         }
-        event.update(payload)
         if self.collect:
             self.events.append(event)
         for sink in self.sinks:
@@ -181,40 +204,130 @@ class Tracer:
 
     # -- counter primitives ----------------------------------------------------
 
-    def record_rule(self, rule: Any, derived: int, wall_s: float) -> None:
-        """Aggregate one compiled-executor run of ``rule``.
+    @property
+    def metrics(self) -> MetricsRegistry:
+        """The solve's mergeable instruments (docs/OBSERVABILITY.md).
 
-        Callers guard on ``enabled``; stats are keyed by rule identity
-        and flushed as ``rule_profile`` events by the solver.
+        Populated at the guarded instrumentation sites, merged with
+        worker snapshots at the shard barrier and snapshotted into the
+        ``metrics_snapshot`` event at solve end.  Reading it first folds
+        the pending per-round batches in, so every reader — the solver's
+        flush, a shard worker's snapshot, serve's per-request snapshot —
+        sees exact counts.
         """
-        entry = self._rule_stats.get(id(rule))
-        if entry is None:
-            self._rule_stats[id(rule)] = [rule, 1, derived, wall_s]
-        else:
-            entry[1] += 1
-            entry[2] += derived
-            entry[3] += wall_s
-        instruments = self._rule_instruments
-        if instruments is None:
-            m = self.metrics
-            instruments = self._rule_instruments = (
-                m.counter("rule.firings"),
-                m.counter("rule.derived"),
-                m.histogram("rule.derived_per_firing"),
-                m.timer("rule.wall_s"),
-            )
-        firings, derived_total, per_firing, wall = instruments
-        firings.inc()
-        derived_total.inc(derived)
-        per_firing.observe(float(derived))
-        wall.observe(wall_s)
+        if self._pending:
+            self._fold()
+        return self._metrics
+
+    def _fold(self) -> None:
+        """Move every pending batch into the registry.  Integer-valued
+        histograms fold through :meth:`Histogram.observe_n`, so counts,
+        bounds and sums are exactly those of one observation per event;
+        timers observe each pending wall in order."""
+        self._pending = False
+        m = self._metrics
+        tally = self._tally
+        if tally:
+            firings = m.counter("rule.firings")
+            derived = m.counter("rule.derived")
+            per_firing = m.histogram("rule.derived_per_firing")
+            for atoms, n in sorted(tally.items()):
+                firings.inc(n)
+                derived.inc(atoms * n)
+                per_firing.observe_n(float(atoms), n)
+            tally.clear()
+            wall = m.timer("rule.wall_s")
+            for wall_s in self._walls:
+                wall.observe(wall_s)
+            self._walls.clear()
+        rounds = self._rounds
+        if rounds:
+            m.counter("fixpoint.rounds").inc(len(rounds))
+            new = m.counter("fixpoint.new_atoms")
+            changed: Optional[Counter] = None
+            round_wall = m.timer("fixpoint.round_wall_s")
+            deltas: Dict[int, int] = {}
+            for new_atoms, changed_atoms, delta_atoms, wall_s in rounds:
+                new.inc(new_atoms)
+                if changed_atoms is not None:
+                    if changed is None:
+                        changed = m.counter("fixpoint.changed_atoms")
+                    changed.inc(changed_atoms)
+                deltas[delta_atoms] = deltas.get(delta_atoms, 0) + 1
+                round_wall.observe(wall_s)
+            delta = m.histogram("fixpoint.delta_atoms")
+            for atoms, n in sorted(deltas.items()):
+                delta.observe_n(float(atoms), n)
+            rounds.clear()
+        settles = self._settles
+        if settles:
+            m.counter("greedy.settled").inc(len(settles))
+            settle_wall = m.timer("greedy.settle_wall_s")
+            for wall_s in settles:
+                settle_wall.observe(wall_s)
+            settles.clear()
+        if self._plan_hits:
+            m.counter("plan.cache_hits").inc(self._plan_hits)
+            self._plan_hits = 0
+        if self._plan_misses:
+            m.counter("plan.cache_misses").inc(self._plan_misses)
+            self._plan_misses = 0
+
+    def record_round(
+        self,
+        new_atoms: int,
+        changed_atoms: Optional[int],
+        delta_atoms: int,
+        wall_s: float,
+    ) -> None:
+        """Account one fixpoint round for the ``fixpoint.*`` instruments
+        (``changed_atoms`` is None for a round that reports none, like
+        the semi-naive seed round).  Callers guard on ``enabled``."""
+        self._rounds.append((new_atoms, changed_atoms, delta_atoms, wall_s))
+        self._pending = True
+
+    def record_settle(self, wall_s: float) -> None:
+        """Account one greedy settle (``greedy.*`` instruments)."""
+        self._settles.append(wall_s)
+        self._pending = True
+
+    def record_rules(self, batch: Iterable[Sequence[Any]]) -> None:
+        """Account one fixpoint round of rule firings.
+
+        ``batch`` holds ``(rule, tally, wall_s)`` per rule that fired in
+        the round: ``tally`` maps atoms derived by one firing to the
+        number of firings that derived that many, and ``wall_s`` is the
+        rule's time in the round (one ``rule.wall_s`` observation).
+        Callers guard on ``enabled``; rule stats are keyed by rule
+        identity and flushed as ``rule_profile`` events by the solver,
+        the instruments are folded on the next read of :attr:`metrics`.
+        """
+        self._pending = True
+        stats = self._rule_stats
+        pending = self._tally
+        for rule, tally, wall_s in batch:
+            if not tally:  # interrupted before its first firing
+                continue
+            calls = derived = 0
+            for atoms, n in tally.items():
+                calls += n
+                derived += atoms * n
+                pending[atoms] = pending.get(atoms, 0) + n
+            entry = stats.get(id(rule))
+            if entry is None:
+                stats[id(rule)] = [rule, calls, derived, wall_s]
+            else:
+                entry[1] += calls
+                entry[2] += derived
+                entry[3] += wall_s
+            self._walls.append(wall_s)
 
     def absorb_rule(
         self, rule: Any, calls: int, derived: int, wall_s: float
     ) -> None:
         """Fold a worker's cumulative statistics for ``rule`` in.
 
-        The shard-barrier counterpart of :meth:`record_rule`: workers
+        The shard-barrier counterpart of :meth:`record_rules`: workers
         ship ``(calls, derived, wall)`` per rule index through the pool
         result, and the parent maps indexes back to its own rule objects
         (identity-preserving through ``fork``) before calling this.
@@ -237,13 +350,12 @@ class Tracer:
             for rule, calls, derived, wall in self._rule_stats.values()
         ]
 
-    def count_plan(self, hit: bool) -> None:
-        if hit:
-            self.plan_hits += 1
-            self.metrics.counter("plan.cache_hits").inc()
-        else:
-            self.plan_misses += 1
-            self.metrics.counter("plan.cache_misses").inc()
+    def count_plans(self, hits: int, misses: int) -> None:
+        """Account compiled-plan cache probes (folded into the
+        ``plan.cache_hits`` / ``plan.cache_misses`` counters)."""
+        self._plan_hits += hits
+        self._plan_misses += misses
+        self._pending = True
 
     # -- lifecycle ---------------------------------------------------------------
 

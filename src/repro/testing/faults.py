@@ -8,8 +8,8 @@ This module makes that claim testable by injecting faults at three
 seams:
 
 ``rule_firing``
-    entry of :func:`repro.engine.exec.run_rule` — one hit per rule
-    execution (naive/seminaive/greedy all funnel through it);
+    start of :meth:`repro.engine.exec.RulePlan.execute` — one hit per
+    rule firing (naive/seminaive/greedy all fire through it);
 ``aggregate_apply``
     immediately before an aggregate function is applied to a group's
     multiset inside the compiled executor;

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from repro.workloads.ownership import random_ownership
 
@@ -56,7 +56,8 @@ def road_network(
     directions with independent random lengths in ``[1, 10)``, and
     ``highway_fraction`` of the junction count becomes long random
     shortcuts (weight in ``[5, 50)``) so shortest paths are not purely
-    local.  Deterministic in ``seed``.
+    local; a shortcut drawn onto an existing arc is dropped, so every
+    ``(u, v)`` pair has one length.  Deterministic in ``seed``.
     """
     side = max(2, math.ceil(math.sqrt(n)))
     rng = random.Random(seed)
@@ -75,12 +76,28 @@ def road_network(
                 arcs.append((node, node + side, length()))
                 arcs.append((node + side, node, length()))
     total = side * side
+    highways: Set[Tuple[int, int]] = set()
     for _ in range(int(total * highway_fraction)):
         u = rng.randrange(total)
         v = rng.randrange(total)
         if u != v:
-            arcs.append((u, v, round(rng.uniform(5.0, 50.0), 1)))
+            weight = round(rng.uniform(5.0, 50.0), 1)
+            # ``arc`` is a cost predicate keyed on (u, v): a highway over
+            # a street or an earlier highway would give that pair a second
+            # length, which the solver rejects.  Skip it — after drawing
+            # its length, so the random stream (and every network without
+            # such a collision) is unchanged.
+            if _street(u, v, side) or (u, v) in highways:
+                continue
+            highways.add((u, v))
+            arcs.append((u, v, weight))
     return arcs
+
+
+def _street(u: int, v: int, side: int) -> bool:
+    """Whether junctions ``u`` and ``v`` are grid neighbours."""
+    gap = abs(u - v)
+    return gap == side or (gap == 1 and u // side == v // side)
 
 
 def write_road_network_csv(path: str, n: int, *, seed: int = 0) -> int:

@@ -9,7 +9,7 @@ reference path in :mod:`repro.engine.grounding`:
 * plans are cached per (rule, seed shape, mode) on the program;
 * relation-owned indexes stay equal to a from-scratch rebuild across
   in-place mutations (the incremental-maintenance invariant);
-* ``_delta_seeds`` deduplicates seeds and honours constant /
+* ``_delta_seed_groups`` deduplicates seeds and honours constant /
   duplicate-variable positions in changed rows.
 """
 
@@ -32,7 +32,7 @@ from repro.engine.grounding import (
     schedule,
 )
 from repro.engine.interpretation import INDEX_STATS, Interpretation
-from repro.engine.seminaive import _delta_seeds
+from repro.engine.seminaive import _delta_seed_groups
 from repro.programs import (
     circuit,
     company_control,
@@ -47,6 +47,11 @@ from repro.workloads import (
 )
 
 PAPER_PROGRAMS = [shortest_path, company_control, party_invitations, circuit]
+
+
+def _delta_seeds(rule, cdb, delta):
+    """Every seed of the rule's seed groups, in firing order."""
+    return [seed for _, seeds in _delta_seed_groups(rule, cdb, delta) for seed in seeds]
 
 
 def sample_db(paper):
@@ -309,6 +314,17 @@ class TestDeltaSeeds:
             frozenset({("X", 1), ("Y", 2)}),
             frozenset({("Y", 1), ("Z", 2)}),
         }
+
+    def test_groups_follow_seed_sources_and_share_a_shape(self):
+        program = parse_program("p(X, Z) <- e(X, Y), e(Y, Z).")
+        rule = program.rules[0]
+        delta = {"e": [(1, 2), (2, 3)]}
+        groups = _delta_seed_groups(rule, frozenset({"e", "p"}), delta)
+        shapes = [{v.name for v in shape} for shape, _ in groups]
+        assert shapes == [{"X", "Y"}, {"Y", "Z"}]
+        for shape, seeds in groups:
+            assert len(seeds) == 2
+            assert all(set(seed) == shape for seed in seeds)
 
     def test_symmetric_subgoals_share_one_seed(self):
         program = parse_program("p(X, Y) <- e(X, Y), e(Y, X).")

@@ -91,6 +91,17 @@ class TestHistogramBuckets:
         h.observe(100.0)
         assert h.quantile(0.99) == 100.0
 
+    def test_observe_n_equals_repeated_observe(self):
+        """The tracer folds per-round tallies with ``observe_n``; on
+        integer-valued observations it is the exact fold."""
+        tally = {0: 5, 1: 17, 3: 2, 12: 1, 700: 4}
+        folded, single = Histogram(), Histogram()
+        for value, n in tally.items():
+            folded.observe_n(float(value), n)
+            for _ in range(n):
+                single.observe(float(value))
+        assert folded.snapshot() == single.snapshot()
+
 
 class TestHistogramMerge:
     def build(self, values):

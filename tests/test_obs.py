@@ -204,7 +204,7 @@ class TestIsolation:
         db.solve()
         assert NULL_TRACER.events == []
         assert NULL_TRACER.rule_stats() == []
-        assert NULL_TRACER.plan_hits == 0 and NULL_TRACER.plan_misses == 0
+        assert len(NULL_TRACER.metrics) == 0
         NULL_TRACER.emit("solve_end", iterations=1, atoms=1, wall_s=0.0)
         assert NULL_TRACER.events == []
 

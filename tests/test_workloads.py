@@ -1,8 +1,12 @@
 """Workload generators and their engine-independent oracles."""
 
+import hashlib
+
 import pytest
 
+from repro.core.database import Database
 from repro.workloads import (
+    ROAD_NETWORK_PROGRAM,
     CircuitInstance,
     bellman_ford_all_pairs,
     circuit_oracle,
@@ -15,6 +19,7 @@ from repro.workloads import (
     random_digraph,
     random_ownership,
     random_party,
+    road_network,
 )
 
 
@@ -41,6 +46,46 @@ class TestGraphGenerators:
         arcs = cycle_graph(4)
         assert len(arcs) == 4
         assert (3, 0, 1.0) in arcs
+
+
+class TestRoadNetwork:
+    #: Sizes (with ``seed=size``) where a highway used to land on an
+    #: existing arc, giving one (u, v) pair two lengths.
+    COLLIDING = (1800, 2500, 3500, 3800, 3900, 4600, 5900, 7100, 7900)
+
+    @pytest.mark.parametrize("n", COLLIDING)
+    def test_every_arc_has_one_length(self, n):
+        arcs = road_network(n, seed=n)
+        assert len({(u, v) for u, v, _ in arcs}) == len(arcs)
+
+    def test_highway_on_a_street_is_dropped(self):
+        lengths = [
+            w for u, v, w in road_network(6400, seed=0) if (u, v) == (1652, 1653)
+        ]
+        assert lengths == [8.7]  # the street; the 6.7 highway is gone
+
+    def test_colliding_size_solves(self):
+        db = Database()
+        db.load(ROAD_NETWORK_PROGRAM)
+        db.add_facts("arc", road_network(1800, seed=1800))
+        db.add_facts("source", [(0,)])
+        result = db.solve(method="auto")
+        assert result.complete
+        assert len(result.model.relation("d")) > 1000
+
+    @pytest.mark.parametrize(
+        "n,digest",
+        [
+            (100, "83d565314819caf3"),
+            (400, "469cf8742aa1e7d6"),
+            (1600, "10b790ce301eec13"),
+        ],
+    )
+    def test_networks_without_collisions_are_unchanged(self, n, digest):
+        """Skipped highways still draw their length, so the benchmark
+        sizes produce the very networks they always did."""
+        text = repr(road_network(n, seed=n)).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest
 
 
 class TestShortestPathOracles:
